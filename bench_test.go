@@ -9,6 +9,7 @@
 package gpuhms_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -233,16 +234,29 @@ func BenchmarkSimulator(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceAnalysis measures the model's §IV analysis pass.
+// BenchmarkTraceAnalysis measures the model's §IV analysis pass from a cold
+// start: PredictFull rebuilds every per-array contribution and group sim
+// before the merge walk and the Eq 1 fixed point.
 func BenchmarkTraceAnalysis(b *testing.B) {
 	cfg := gpu.MustLookup("k80")
 	spec := kernels.MustGet("matrixMul")
 	tr := spec.Trace(1)
 	sample, _ := spec.SamplePlacement(tr)
+	prof, err := sim.New(cfg).Run(tr, sample, sample)
+	if err != nil {
+		b.Fatal(err)
+	}
 	m := core.NewModel(cfg, core.FullOptions())
+	pr, err := core.NewPredictor(m, tr, sample,
+		core.SampleProfile{TimeNS: prof.TimeNS, Events: prof.Events})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.AnalyzePlacement(tr, sample, sample, false)
+		if _, err := pr.PredictFull(sample); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -324,7 +338,7 @@ func BenchmarkAdvisorRank(b *testing.B) {
 	sample, _ := spec.SamplePlacement(tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := adv.Rank(tr, sample); err != nil {
+		if _, err := adv.RankPlacements(context.Background(), tr, sample, gpuhms.RankOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

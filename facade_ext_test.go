@@ -2,6 +2,7 @@ package gpuhms
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -25,14 +26,15 @@ func TestAdvisorSaveLoadRoundTrip(t *testing.T) {
 	spec, _ := Kernel("convolution")
 	tr := spec.Trace(1)
 	sample, _ := spec.SamplePlacement(tr)
-	r1, err := adv.Rank(tr, sample)
+	res1, err := adv.RankPlacements(context.Background(), tr, sample, RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := loaded.Rank(tr, sample)
+	res2, err := loaded.RankPlacements(context.Background(), tr, sample, RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r1, r2 := res1.Ranked, res2.Ranked
 	if len(r1) != len(r2) {
 		t.Fatalf("rank lengths differ: %d vs %d", len(r1), len(r2))
 	}
@@ -53,8 +55,8 @@ func TestAdvisorSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGreedyAgreesWithExhaustiveTop exercises BestGreedy and requires its
-// pick to be competitive with the exhaustive ranking's best.
+// TestGreedyAgreesWithExhaustiveTop exercises the greedy strategy and
+// requires its pick to be competitive with the exhaustive ranking's best.
 func TestGreedyAgreesWithExhaustiveTop(t *testing.T) {
 	cfg := MustLookupArch("k80")
 	adv, err := NewAdvisor(cfg)
@@ -65,14 +67,17 @@ func TestGreedyAgreesWithExhaustiveTop(t *testing.T) {
 	tr := spec.Trace(1)
 	sample, _ := spec.SamplePlacement(tr)
 
-	ranked, err := adv.Rank(tr, sample)
+	res, err := adv.RankPlacements(context.Background(), tr, sample, RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, evals, err := adv.BestGreedy(tr, sample)
+	ranked := res.Ranked
+	gres, err := adv.RankPlacements(context.Background(), tr, sample,
+		RankOptions{TopK: 1, Strategy: GreedyStrategy()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	best, evals := gres.Ranked[0], gres.Evaluated
 	if evals <= 0 || evals >= len(ranked) {
 		t.Errorf("greedy used %d evals vs %d exhaustive", evals, len(ranked))
 	}
@@ -98,10 +103,11 @@ func TestFermiEndToEnd(t *testing.T) {
 	spec, _ := Kernel("neuralnet")
 	tr := spec.Trace(1)
 	sample, _ := spec.SamplePlacement(tr)
-	ranked, err := adv.Rank(tr, sample)
+	res, err := adv.RankPlacements(context.Background(), tr, sample, RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ranked := res.Ranked
 	if len(ranked) == 0 || ranked[0].PredictedNS <= 0 {
 		t.Fatal("no usable Fermi predictions")
 	}

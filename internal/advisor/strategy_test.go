@@ -5,13 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
 	"gpuhms/internal/core"
 	"gpuhms/internal/hmserr"
 	"gpuhms/internal/kernels"
+	"gpuhms/internal/obs"
 	"gpuhms/internal/placement"
+	"gpuhms/internal/trace"
 )
 
 // goldenKernels is the kernel set of the cross-strategy suite: the full
@@ -44,7 +47,8 @@ func searchKernel(t *testing.T, a *Advisor, name string, opt RankOptions) (*Rank
 // TestStrategyDeterminism pins the tentpole guarantee across every strategy:
 // for every bundled kernel and every strategy, the entire RankResult —
 // placements, exact predicted times, enumeration indices, coverage — is
-// byte-identical as JSON between a sequential and an 8-worker search.
+// byte-identical as JSON between a sequential and an 8-worker search, and
+// between a search without a recorder and one with a live collector.
 func TestStrategyDeterminism(t *testing.T) {
 	a := testAdvisor(t)
 	for _, name := range goldenKernels() {
@@ -67,6 +71,16 @@ func TestStrategyDeterminism(t *testing.T) {
 			}
 			if string(got) != string(want) {
 				t.Errorf("%s/%s: 8-worker result differs from sequential:\n got %s\nwant %s",
+					name, strat.Spec(), got, want)
+			}
+			recorded := *a
+			recorded.Recorder = obs.NewCollector()
+			withRec, err := searchKernel(t, &recorded, name, RankOptions{TopK: 3, Parallelism: 1, Strategy: strat})
+			if err != nil {
+				t.Fatalf("%s/%s with recorder: %v", name, strat.Spec(), err)
+			}
+			if got, _ := json.Marshal(withRec); string(got) != string(want) {
+				t.Errorf("%s/%s: recorder changed the result:\n got %s\nwant %s",
 					name, strat.Spec(), got, want)
 			}
 			if base.Strategy != strat.Spec() {
@@ -175,8 +189,10 @@ func TestStrategyBudget(t *testing.T) {
 	}
 }
 
-// TestStrategyPreCanceled pins cancellation precedence for every strategy: a
-// pre-canceled context yields ctx.Err() and a nil result.
+// TestStrategyPreCanceled pins how every strategy stops short: a
+// pre-canceled context yields ctx.Err() and a nil result, a prediction error
+// comes back as-is with a nil result, and an empty placement space closes its
+// progress with a Done report of 0 evaluated out of 0.
 func TestStrategyPreCanceled(t *testing.T) {
 	a := testAdvisor(t)
 	k := kernels.MustGet("kmeans")
@@ -198,6 +214,49 @@ func TestStrategyPreCanceled(t *testing.T) {
 		}
 		if res != nil {
 			t.Errorf("%s: canceled search returned a result", strat.Spec())
+		}
+	}
+
+	// A NaN overlap coefficient makes every prediction degenerate, so the
+	// first evaluation fails and its error must surface unchanged.
+	opts := core.FullOptions()
+	opts.OverlapCoeffs = []float64{math.NaN()}
+	broken := &Advisor{Cfg: a.Cfg, Model: core.NewModel(a.Cfg, opts)}
+	bpr, err := broken.PredictorContext(context.Background(), tr, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := bpr.Predict(sample)
+	if want == nil {
+		t.Fatal("NaN overlap coefficient did not break the prediction")
+	}
+	for _, strat := range goldenStrategies() {
+		res, err := Search(context.Background(), a.Cfg, tr, bpr, RankOptions{Parallelism: 4, Strategy: strat}, nil)
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: err = %v, want the prediction error %v", strat.Spec(), err, want)
+		}
+		if res != nil {
+			t.Errorf("%s: failed search returned a result", strat.Spec())
+		}
+	}
+
+	// A kernel with no arrays has an empty placement space.
+	b := trace.NewBuilder("empty", trace.Launch{Blocks: 1, ThreadsPerBlock: 32, WarpSize: 32})
+	b.Warp(0, 0).FP32(1)
+	empty := b.MustBuild()
+	epr, err := a.PredictorContext(context.Background(), empty, placement.New(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, strat := range goldenStrategies() {
+		col := obs.NewCollectorWithClock(func() float64 { return 0 })
+		res, err := Search(context.Background(), a.Cfg, empty, epr, RankOptions{Strategy: strat}, col)
+		if err != nil || res == nil || len(res.Ranked) != 0 || res.Evaluated != 0 || res.Total != 0 {
+			t.Fatalf("%s on an empty space: res=%+v err=%v, want an empty complete result", strat.Spec(), res, err)
+		}
+		p, ok := col.Progress()
+		if !ok || !p.Done || p.Evaluated != 0 || p.Total != 0 {
+			t.Errorf("%s: progress = %+v (ok=%v), want done with 0/0", strat.Spec(), p, ok)
 		}
 	}
 }
@@ -240,53 +299,6 @@ func TestParseStrategy(t *testing.T) {
 	}
 	if got := Beam(MaxBeamWidth + 1).Spec(); got != fmt.Sprintf("beam-%d", MaxBeamWidth) {
 		t.Errorf("Beam(max+1).Spec() = %q", got)
-	}
-}
-
-// TestDeprecatedWrappersRoute pins that the legacy surface is a pure
-// veneer: Rank equals an exhaustive RankPlacements, and BestGreedy equals a
-// greedy top-1 RankPlacements.
-func TestDeprecatedWrappersRoute(t *testing.T) {
-	a := testAdvisor(t)
-	k := kernels.MustGet("kmeans")
-	tr := k.Trace(1)
-	sample, err := k.SamplePlacement(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := a.RankPlacements(context.Background(), tr, sample, RankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := a.Rank(tr, sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(old) != len(res.Ranked) {
-		t.Fatalf("Rank: %d rows, RankPlacements: %d", len(old), len(res.Ranked))
-	}
-	for i := range old {
-		if old[i].Index != res.Ranked[i].Index || old[i].PredictedNS != res.Ranked[i].PredictedNS {
-			t.Fatalf("Rank row %d = {%v %d}, want {%v %d}", i,
-				old[i].PredictedNS, old[i].Index, res.Ranked[i].PredictedNS, res.Ranked[i].Index)
-		}
-	}
-
-	gres, err := a.RankPlacements(context.Background(), tr, sample,
-		RankOptions{TopK: 1, Strategy: Greedy()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	best, evals, err := a.BestGreedy(tr, sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Index != gres.Ranked[0].Index || best.PredictedNS != gres.Ranked[0].PredictedNS {
-		t.Errorf("BestGreedy = {%v %d}, want {%v %d}",
-			best.PredictedNS, best.Index, gres.Ranked[0].PredictedNS, gres.Ranked[0].Index)
-	}
-	if evals != gres.Evaluated {
-		t.Errorf("BestGreedy evals = %d, want %d", evals, gres.Evaluated)
 	}
 }
 

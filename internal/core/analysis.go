@@ -18,12 +18,8 @@ package core
 
 import (
 	"gpuhms/internal/dram"
-	"gpuhms/internal/gpu"
-	"gpuhms/internal/memsys"
 	"gpuhms/internal/perf"
 	"gpuhms/internal/queuing"
-	"gpuhms/internal/replay"
-	"gpuhms/internal/trace"
 )
 
 // Analysis is the output of the §IV framework for one (trace, placement)
@@ -33,11 +29,12 @@ import (
 // timing — arrival "times" are an instruction-count proxy.
 //
 // The analysis is produced by the decomposed evaluator (see delta.go): a
-// placement-independent program, per-array contributions against private
-// caches, and a merged DRAM interaction pass. Every entry point — Predict,
-// PredictDelta, Model.AnalyzePlacement — assembles an Analysis through that
-// one path, so the same placement always yields a byte-identical Analysis no
-// matter how it was reached.
+// placement-independent program, per-array contributions resolved without
+// any cache state, and a merge pass that replays them through one shared
+// cache hierarchy and the DRAM analyzer. Every Predictor entry point —
+// Predict, PredictState, PredictDelta, PredictFull — assembles an Analysis
+// through that one path, so the same placement always yields a
+// byte-identical Analysis no matter how it was reached.
 type Analysis struct {
 	Events perf.Events
 
@@ -64,10 +61,6 @@ type Analysis struct {
 	// the inter-arrival coefficient of variation c_a (the Fig 4 statistics).
 	BankCaMean, BankCaStd float64
 
-	// InterArrivals holds the global DRAM inter-arrival proxy samples when
-	// collection was requested (Fig 4 histograms); nil otherwise.
-	InterArrivals []float64
-
 	// Staging.
 	StagingNS float64
 
@@ -79,44 +72,4 @@ type Analysis struct {
 	// B/S, so the kernel finishes ceil(B/S)·S/B later than a perfectly
 	// balanced launch would.
 	Imbalance float64
-}
-
-// countAnalysisEvents maps one resolved memory access onto the prediction's
-// event counters.
-func countAnalysisEvents(ev *perf.Events, res *memsys.Result, replays int64) {
-	ev.InstIssued += 1 + replays
-	ev.InstExecuted++
-	ev.LdstIssued += 1 + replays
-	ev.IssueSlots += 1 + replays
-	switch res.Space.Base() {
-	case gpu.Global:
-		ev.GlobalRequests++
-	case gpu.Constant:
-		ev.ConstantRequest++
-	case gpu.Texture1D, gpu.Texture2D:
-		ev.TextureRequests++
-	case gpu.Shared:
-		ev.SharedRequests++
-	}
-	ev.ReplayGlobalDiv += res.Replays.ByReason[replay.GlobalDivergence]
-	ev.ReplayConstMiss += res.Replays.ByReason[replay.ConstantMiss]
-	ev.ReplayConstDiv += res.Replays.ByReason[replay.ConstantDivergence]
-	ev.ReplayShared += res.Replays.ByReason[replay.SharedBankConflict]
-	ev.ReplayAtomic += res.Replays.ByReason[replay.AtomicConflict]
-	ev.L2Transactions += int64(res.L2Accesses)
-	ev.L2Misses += int64(res.L2Misses)
-	ev.ConstAccesses += int64(res.ConstAccesses)
-	ev.ConstMisses += int64(res.ConstMiss)
-	ev.TexAccesses += int64(res.TexAccesses)
-	ev.TexMisses += int64(res.TexMiss)
-	ev.SharedBankConflicts += int64(res.SharedConflicts)
-}
-
-// residentWarps mirrors the simulator's resident-warp estimate.
-func residentWarps(t *trace.Trace, cfg *gpu.Config) float64 {
-	per := float64(t.Launch.TotalWarps()) / float64(cfg.ActiveSMs(t.Launch.Blocks))
-	if max := float64(cfg.MaxWarpsPerSM); per > max {
-		return max
-	}
-	return per
 }

@@ -56,7 +56,7 @@ func NewPlacementBound(p *Predictor) *PlacementBound {
 		imbalance = worst / perSM
 	}
 	nsPerCycle := cfg.NSPerCycle()
-	throughput := m.effectiveThroughput(residentWarps(t, cfg))
+	throughput := m.effectiveThroughput(cfg.ResidentWarps(t.Launch.TotalWarps(), t.Launch.Blocks))
 	b.scaleNS = throughput / activeSMs * imbalance * nsPerCycle
 
 	// One pass over the trace: placement-independent executed instructions

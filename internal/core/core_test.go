@@ -295,7 +295,11 @@ func TestAnalysisEventParityWithSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := NewModel(cfg, FullOptions())
-	an := model.AnalyzePlacement(tr, sample, sample, false)
+	pr, err := NewPredictor(model, tr, sample, SampleProfile{TimeNS: m.TimeNS, Events: m.Events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := pr.Sample()
 
 	if an.Events.InstExecuted != m.Events.InstExecuted {
 		t.Errorf("executed: analysis %d vs sim %d", an.Events.InstExecuted, m.Events.InstExecuted)

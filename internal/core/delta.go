@@ -29,8 +29,8 @@ package core
 //     merely close. This is the only per-evaluation cost: cache probes per
 //     first-level line, never per lane.
 //
-// Predict, PredictDelta, and Model.AnalyzePlacement all run through this one
-// path, which is what makes delta and full evaluations byte-identical: a
+// Predict, PredictState, PredictDelta, and PredictFull all run through this
+// one path, which is what makes delta and full evaluations byte-identical: a
 // "delta" differs only in how many contributions come from cache instead of
 // being rebuilt, never in the math.
 
@@ -43,7 +43,6 @@ import (
 	"gpuhms/internal/memsys"
 	"gpuhms/internal/perf"
 	"gpuhms/internal/placement"
-	"gpuhms/internal/replay"
 	"gpuhms/internal/trace"
 )
 
@@ -163,7 +162,7 @@ func newProgram(cfg *gpu.Config, t *trace.Trace) *program {
 	if loadRuns > 0 {
 		p.mlp = float64(loadsInRuns) / float64(loadRuns)
 	}
-	p.warpsPerSM = residentWarps(t, cfg)
+	p.warpsPerSM = cfg.ResidentWarps(t.Launch.TotalWarps(), t.Launch.Blocks)
 	p.imbalance = 1
 	if blocks := t.Launch.Blocks; blocks > p.activeSMs {
 		perSM := float64(blocks) / float64(p.activeSMs)
@@ -238,23 +237,15 @@ func countResolvedEvents(ev *perf.Events, res *memsys.Resolved, staticReplays in
 	ev.InstExecuted++
 	ev.LdstIssued += 1 + staticReplays
 	ev.IssueSlots += 1 + staticReplays
+	memsys.CountAccess(ev, res.Space, &res.Replays, res.SharedConflicts)
+	// Constant and texture accesses are first-level lines, known before any
+	// cache is probed.
 	switch res.Space.Base() {
-	case gpu.Global:
-		ev.GlobalRequests++
 	case gpu.Constant:
-		ev.ConstantRequest++
 		ev.ConstAccesses += int64(len(res.Lines))
 	case gpu.Texture1D, gpu.Texture2D:
-		ev.TextureRequests++
 		ev.TexAccesses += int64(len(res.Lines))
-	case gpu.Shared:
-		ev.SharedRequests++
 	}
-	ev.ReplayGlobalDiv += res.Replays.ByReason[replay.GlobalDivergence]
-	ev.ReplayConstDiv += res.Replays.ByReason[replay.ConstantDivergence]
-	ev.ReplayShared += res.Replays.ByReason[replay.SharedBankConflict]
-	ev.ReplayAtomic += res.Replays.ByReason[replay.AtomicConflict]
-	ev.SharedBankConflicts += int64(res.SharedConflicts)
 }
 
 // buildContribution resolves one array's accesses under (space, addr),
@@ -473,7 +464,7 @@ func (s *mergeScratch) reset() {
 // groups may be nil (cache-bypassing evaluations); group sims are then built
 // for this call only. scr must be freshly built or reset; the returned
 // Analysis owns all of its data.
-func (p *program) merge(pl *placement.Placement, contribs []*contribution, scr *mergeScratch, collectArrivals bool, groups *groupCache) *Analysis {
+func (p *program) merge(pl *placement.Placement, contribs []*contribution, scr *mergeScratch, groups *groupCache) *Analysis {
 	var constSim, texSim *groupSim
 	if hasSpace(contribs, true) {
 		constSim = p.groupFor(groups, true, contribs)
@@ -482,9 +473,9 @@ func (p *program) merge(pl *placement.Placement, contribs []*contribution, scr *
 		texSim = p.groupFor(groups, false, contribs)
 	}
 	if p.l2EvictionFree(contribs, constSim, texSim, scr) {
-		return p.mergeFast(pl, contribs, constSim, texSim, scr, collectArrivals)
+		return p.mergeFast(pl, contribs, constSim, texSim, scr)
 	}
-	return p.mergeExact(pl, contribs, scr, collectArrivals)
+	return p.mergeExact(pl, contribs, scr)
 }
 
 // hasSpace reports whether any contribution lives in the constant space
@@ -647,13 +638,12 @@ func (p *program) finishAnalysis(a *Analysis, an *dram.Analyzer, pl *placement.P
 
 // mergeExact replays every first-level line through the shared caches in
 // lockstep order — the general merge walk; see merge.
-func (p *program) mergeExact(pl *placement.Placement, contribs []*contribution, scr *mergeScratch, collectArrivals bool) *Analysis {
+func (p *program) mergeExact(pl *placement.Placement, contribs []*contribution, scr *mergeScratch) *Analysis {
 	a := p.analysisHeader(contribs)
 
 	slotNS := p.slotNS
 	proxyNS := 0.0
 	gi := 0
-	lastArrival := -1.0
 	an := scr.an
 	for i := range p.refs {
 		r := &p.refs[i]
@@ -693,12 +683,6 @@ func (p *program) mergeExact(pl *placement.Placement, contribs []*contribution, 
 		proxyNS += float64(1+replays) * slotNS
 
 		for _, line := range dramLines {
-			if collectArrivals {
-				if lastArrival >= 0 {
-					a.InterArrivals = append(a.InterArrivals, proxyNS-lastArrival)
-				}
-				lastArrival = proxyNS
-			}
 			an.Add(line, proxyNS)
 		}
 	}
@@ -713,7 +697,7 @@ func (p *program) mergeExact(pl *placement.Placement, contribs []*contribution, 
 // proxy-clock float chain plus one analyzer Add per DRAM request. Only valid
 // after l2EvictionFree proves no L2 eviction can occur; see merge for why the
 // output is then bit-for-bit the exact walk's.
-func (p *program) mergeFast(pl *placement.Placement, contribs []*contribution, constSim, texSim *groupSim, scr *mergeScratch, collectArrivals bool) *Analysis {
+func (p *program) mergeFast(pl *placement.Placement, contribs []*contribution, constSim, texSim *groupSim, scr *mergeScratch) *Analysis {
 	a := p.analysisHeader(contribs)
 
 	// Cache-dependent event counters, summed up front: integer totals don't
@@ -751,7 +735,6 @@ func (p *program) mergeFast(pl *placement.Placement, contribs []*contribution, c
 	slotNS := p.slotNS
 	proxyNS := 0.0
 	gi := 0
-	lastArrival := -1.0
 	an := scr.an
 	constCur, texCur := 0, 0
 	for i := range p.refs {
@@ -783,12 +766,6 @@ func (p *program) mergeFast(pl *placement.Placement, contribs []*contribution, c
 		proxyNS += float64(1+replays) * slotNS
 
 		for _, line := range dlines {
-			if collectArrivals {
-				if lastArrival >= 0 {
-					a.InterArrivals = append(a.InterArrivals, proxyNS-lastArrival)
-				}
-				lastArrival = proxyNS
-			}
 			an.Add(line, proxyNS)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"gpuhms/internal/gpu"
+	"gpuhms/internal/hmserr"
 	"gpuhms/internal/kernels"
 	"gpuhms/internal/placement"
 	"gpuhms/internal/trace"
@@ -142,8 +144,8 @@ func TestPredictDeltaRejectsIllegalMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pr.PredictDelta(nil, 0, gpu.Shared); err == nil {
-		t.Error("nil previous state must be rejected")
+	if _, _, err := pr.PredictDelta(nil, 0, gpu.Shared); !errors.Is(err, hmserr.ErrIllegalPlacement) {
+		t.Errorf("nil previous state: err = %v, want ErrIllegalPlacement", err)
 	}
 	// spmv's output array is written: read-only spaces are illegal for it,
 	// exactly as Predict would reject the same placement.

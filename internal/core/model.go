@@ -9,7 +9,6 @@ import (
 	"gpuhms/internal/dram"
 	"gpuhms/internal/gpu"
 	"gpuhms/internal/hmserr"
-	"gpuhms/internal/memsys"
 	"gpuhms/internal/obs"
 	"gpuhms/internal/perf"
 	"gpuhms/internal/placement"
@@ -216,23 +215,6 @@ func (p *Predictor) Sample() *Analysis { return p.sampleAn }
 // not mutate it; Clone before modifying.
 func (p *Predictor) SamplePlacement() *placement.Placement { return p.sample }
 
-// AnalyzePlacement runs the §IV trace analysis of one placement under this
-// model's mapping and distribution mode, optionally collecting the global
-// DRAM inter-arrival samples (the Fig 4 study). It runs the same decomposed
-// evaluation as Predict, but standalone: the program and every contribution
-// are built fresh and nothing is cached.
-func (m *Model) AnalyzePlacement(t *trace.Trace, sample, target *placement.Placement, collectArrivals bool) *Analysis {
-	prog := newProgram(m.Cfg, t)
-	layout := placement.Retarget(t, placement.NewLayout(t, sample), sample, target)
-	resolver := memsys.NewHierarchy(m.Cfg)
-	contribs := make([]*contribution, len(t.Arrays))
-	for i := range t.Arrays {
-		sp := target.Spaces[i]
-		contribs[i] = prog.buildContribution(resolver, trace.ArrayID(i), sp, addrKeyOf(layout, sp, i))
-	}
-	return prog.merge(target, contribs, newMergeScratch(m.Cfg, m.Mapping, m.distMode()), collectArrivals, nil)
-}
-
 // evalState runs the decomposed evaluation of a target placement: resolve the
 // layout, gather one contribution per array — reusing prev's where the move
 // left an array's binding untouched, then the shared cache, then a fresh
@@ -283,7 +265,7 @@ func (p *Predictor) evalState(target *placement.Placement, prev *DeltaState, mov
 	} else {
 		p.scr.reset()
 	}
-	an := p.prog.merge(target, contribs, p.scr, false, groups)
+	an := p.prog.merge(target, contribs, p.scr, groups)
 	p.mu.Unlock()
 	st := &DeltaState{place: target.Clone(), layout: layout, contribs: contribs}
 	return an, st, hits, builds
@@ -334,7 +316,7 @@ func (p *Predictor) PredictState(target *placement.Placement) (*Prediction, *Del
 // and read-only violations surface exactly as they do from Predict.
 func (p *Predictor) PredictDelta(prev *DeltaState, arrayIdx int, newSpace gpu.MemSpace) (*Prediction, *DeltaState, error) {
 	if prev == nil {
-		return nil, nil, fmt.Errorf("core: PredictDelta: nil previous state")
+		return nil, nil, hmserr.Wrap(hmserr.ErrIllegalPlacement, "PredictDelta: nil previous state")
 	}
 	target, err := prev.place.WithMoveChecked(trace.ArrayID(arrayIdx), newSpace)
 	if err != nil {

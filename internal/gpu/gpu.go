@@ -342,6 +342,17 @@ func (c *Config) ActiveSMs(blocks int) int {
 	return c.SMs
 }
 
+// ResidentWarps returns the average resident warps per active SM of a launch
+// with the given total warp and block counts, capped at MaxWarpsPerSM. The
+// simulator and the model share this one occupancy estimate.
+func (c *Config) ResidentWarps(totalWarps, blocks int) float64 {
+	per := float64(totalWarps) / float64(c.ActiveSMs(blocks))
+	if max := float64(c.MaxWarpsPerSM); per > max {
+		return max
+	}
+	return per
+}
+
 // FermiC2050 returns a Tesla-C2050-like (Fermi) configuration — the GPU the
 // paper's GPGPUSim inter-arrival study uses. It demonstrates that the models
 // are architecture-parametric: fewer, smaller SMs, a smaller L2, and the

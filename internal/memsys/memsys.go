@@ -10,6 +10,7 @@ package memsys
 import (
 	"gpuhms/internal/cache"
 	"gpuhms/internal/gpu"
+	"gpuhms/internal/perf"
 	"gpuhms/internal/placement"
 	"gpuhms/internal/replay"
 	"gpuhms/internal/sharedmem"
@@ -318,6 +319,32 @@ func (h *Hierarchy) ResolveScratch(b *Binding, in *trace.Inst, sc *Scratch) Reso
 		res.Lines = lines
 	}
 	return res
+}
+
+// CountAccess adds one memory access's request, replay and bank-conflict
+// counters to ev: the request counter of its space, its replays by reason,
+// and its shared-memory bank conflicts. The simulator (per Result) and the
+// model (per Resolved) both count through it, so the two map an access onto
+// the same counters; each adds its own cache traffic and miss counters. A
+// Resolved carries no constant-miss replays, which are cache state: the
+// model takes those from ProbeLines.
+func CountAccess(ev *perf.Events, space gpu.MemSpace, replays *replay.Breakdown, sharedConflicts int) {
+	switch space.Base() {
+	case gpu.Global:
+		ev.GlobalRequests++
+	case gpu.Constant:
+		ev.ConstantRequest++
+	case gpu.Texture1D, gpu.Texture2D:
+		ev.TextureRequests++
+	case gpu.Shared:
+		ev.SharedRequests++
+	}
+	ev.ReplayGlobalDiv += replays.ByReason[replay.GlobalDivergence]
+	ev.ReplayConstMiss += replays.ByReason[replay.ConstantMiss]
+	ev.ReplayConstDiv += replays.ByReason[replay.ConstantDivergence]
+	ev.ReplayShared += replays.ByReason[replay.SharedBankConflict]
+	ev.ReplayAtomic += replays.ByReason[replay.AtomicConflict]
+	ev.SharedBankConflicts += int64(sharedConflicts)
 }
 
 // ProbeCounts are the cache-dependent outcomes of replaying one access's

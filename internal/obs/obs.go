@@ -80,7 +80,8 @@ type Progress struct {
 	// Best names the best placement seen so far (Placement.Format).
 	Best string `json:"best,omitempty"`
 	// Strategy names the search strategy producing this report ("exhaustive",
-	// "greedy", "beam-4"); empty for searches predating strategy selection.
+	// "greedy", "beam-4", or "fleet:<solver>"); empty for hmsplace's
+	// single-move and -target rankings, which run no strategy.
 	Strategy string `json:"strategy,omitempty"`
 	// Pruned counts candidate placements a bounded search skipped because an
 	// admissible lower bound proved they could not enter the current top-K.

@@ -33,6 +33,14 @@ func seqWithIndex(t *trace.Trace, cfg *gpu.Config) (idxs []int64, pls []*Placeme
 	return idxs, pls
 }
 
+func TestCountLegalMatchesEnumerate(t *testing.T) {
+	tr := testTrace(t)
+	cfg := gpu.KeplerK80()
+	if got, want := CountLegal(tr, cfg), len(Enumerate(tr, cfg)); got != want {
+		t.Errorf("CountLegal = %d, Enumerate yields %d", got, want)
+	}
+}
+
 func TestSpaceAtMatchesEnumerateSeq(t *testing.T) {
 	tr := testTrace(t)
 	cfg := gpu.KeplerK80()

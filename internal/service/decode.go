@@ -22,8 +22,11 @@ import (
 const (
 	// MaxBodyBytes caps a request body.
 	MaxBodyBytes = 1 << 20
-	// MaxScale caps the workload scale factor: trace size grows linearly
-	// with scale, so this bounds per-request memory.
+	// MaxScale caps the workload scale factor. It does not bound
+	// per-request memory: trace size grows with scale at a rate that
+	// depends on the kernel — cubically for matrixMul and quadratically for
+	// nbody, stencil2d, dct8x8 and transpose — so a decoder-accepted scale
+	// can still need more memory than the host has.
 	MaxScale = 64
 	// MaxSpecLen caps a placement spec string.
 	MaxSpecLen = 4096

@@ -30,7 +30,6 @@ import (
 	"gpuhms/internal/obs"
 	"gpuhms/internal/perf"
 	"gpuhms/internal/placement"
-	"gpuhms/internal/replay"
 	"gpuhms/internal/trace"
 )
 
@@ -426,7 +425,7 @@ func (s *Simulator) RunContext(ctx context.Context, t *trace.Trace, sample, targ
 	// memory; the paper estimates this from bandwidth and size.
 	stagingNS := s.stagingNS(t, sample, target)
 
-	ev.WarpsPerSM = residentWarps(t, s.Cfg)
+	ev.WarpsPerSM = s.Cfg.ResidentWarps(t.Launch.TotalWarps(), t.Launch.Blocks)
 	ev.DRAMRequests = ev.RowHits + ev.RowMisses + ev.RowConflicts
 
 	m := &Measurement{
@@ -510,38 +509,16 @@ func (s *Simulator) stagingNS(t *trace.Trace, sample, target *placement.Placemen
 	return bytes / s.Cfg.SharedCopyGBs // GB/s == bytes/ns
 }
 
-// residentWarps returns the average resident warps per active SM.
-func residentWarps(t *trace.Trace, cfg *gpu.Config) float64 {
-	per := float64(t.Launch.TotalWarps()) / float64(cfg.ActiveSMs(t.Launch.Blocks))
-	if max := float64(cfg.MaxWarpsPerSM); per > max {
-		return max
-	}
-	return per
-}
-
+// countEvents adds one simulated access's event counters to ev: the shared
+// cache-independent mapping plus the cache traffic this run observed.
 func countEvents(ev *perf.Events, res *memsys.Result) {
-	switch res.Space.Base() {
-	case gpu.Global:
-		ev.GlobalRequests++
-	case gpu.Constant:
-		ev.ConstantRequest++
-	case gpu.Texture1D, gpu.Texture2D:
-		ev.TextureRequests++
-	case gpu.Shared:
-		ev.SharedRequests++
-	}
-	ev.ReplayGlobalDiv += res.Replays.ByReason[replay.GlobalDivergence]
-	ev.ReplayConstMiss += res.Replays.ByReason[replay.ConstantMiss]
-	ev.ReplayConstDiv += res.Replays.ByReason[replay.ConstantDivergence]
-	ev.ReplayShared += res.Replays.ByReason[replay.SharedBankConflict]
-	ev.ReplayAtomic += res.Replays.ByReason[replay.AtomicConflict]
+	memsys.CountAccess(ev, res.Space, &res.Replays, res.SharedConflicts)
 	ev.L2Transactions += int64(res.L2Accesses)
 	ev.L2Misses += int64(res.L2Misses)
 	ev.ConstAccesses += int64(res.ConstAccesses)
 	ev.ConstMisses += int64(res.ConstMiss)
 	ev.TexAccesses += int64(res.TexAccesses)
 	ev.TexMisses += int64(res.TexMiss)
-	ev.SharedBankConflicts += int64(res.SharedConflicts)
 }
 
 func countRow(ev *perf.Events, o dram.Outcome) {

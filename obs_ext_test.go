@@ -10,7 +10,7 @@ import (
 )
 
 // TestRankBudgetProgressSurvivesInSnapshot pins the observability contract
-// for budget-limited searches: when RankContext returns ErrBudgetExceeded,
+// for budget-limited searches: when RankPlacements returns ErrBudgetExceeded,
 // the collector's snapshot carries how many placements were evaluated
 // versus how many the legal space holds, and the error message names both.
 func TestRankBudgetProgressSurvivesInSnapshot(t *testing.T) {
@@ -28,7 +28,7 @@ func TestRankBudgetProgressSurvivesInSnapshot(t *testing.T) {
 	}
 	total := len(EnumeratePlacements(tr, adv.Cfg))
 
-	_, err = adv.RankContext(context.Background(), tr, sample, RankOptions{MaxCandidates: 2})
+	_, err = adv.RankPlacements(context.Background(), tr, sample, RankOptions{MaxCandidates: 2})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("got %v, want ErrBudgetExceeded", err)
 	}
@@ -67,10 +67,11 @@ func TestCollectorEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked, err := adv.Rank(tr, sample)
+	res, err := adv.RankPlacements(context.Background(), tr, sample, RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ranked := res.Ranked
 	if len(ranked) == 0 {
 		t.Fatal("empty ranking")
 	}
@@ -145,14 +146,15 @@ func TestAdvisorWithoutRecorderUnchanged(t *testing.T) {
 	bare := untrainedAdvisor()
 	instrumented := untrainedAdvisor()
 	instrumented.Recorder = NewCollector()
-	r1, err := bare.Rank(tr, sample)
+	res1, err := bare.RankPlacements(context.Background(), tr, sample, RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := instrumented.Rank(tr, sample)
+	res2, err := instrumented.RankPlacements(context.Background(), tr, sample, RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r1, r2 := res1.Ranked, res2.Ranked
 	if len(r1) != len(r2) {
 		t.Fatalf("ranking lengths differ: %d vs %d", len(r1), len(r2))
 	}
