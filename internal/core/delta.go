@@ -776,12 +776,12 @@ func (p *program) mergeFast(pl *placement.Placement, contribs []*contribution, c
 }
 
 // contribKey identifies a reusable contribution: the array, its space, and
-// its address binding (device base for off-chip spaces, block-local offset
-// for shared memory). The address is part of the key because layout
-// retargeting can move an array's neighbors: a placement that pushes other
-// arrays across the on-chip/off-chip boundary shifts this array's offset or
-// heap range, and a contribution is only valid for the addresses it was
-// resolved at.
+// its address key (see addrKeyOf). The address is part of the key because
+// layout retargeting can move an array's neighbors: a placement that pushes
+// other arrays across the on-chip/off-chip boundary shifts this array's heap
+// range, and an off-chip contribution is only valid for the addresses it was
+// resolved at. A shared array's key is only its bank phase, so every shared
+// offset that differs by whole bank words reuses one contribution.
 type contribKey struct {
 	array trace.ArrayID
 	space gpu.MemSpace
@@ -906,10 +906,17 @@ type DeltaState struct {
 func (s *DeltaState) Placement() *placement.Placement { return s.place }
 
 // addrKeyOf returns the address-binding component of an array's contribution
-// key under a layout.
-func addrKeyOf(l *placement.Layout, sp gpu.MemSpace, i int) uint64 {
+// key under a layout: the device base address for off-chip spaces, and for
+// shared memory the block-local offset modulo the bank word width. Moving
+// every lane of a shared access by whole bank words moves each word to the
+// bank a fixed distance away — a permutation of the banks — so the distinct
+// words per bank, and with them bank conflicts, replays and events, are the
+// same at every offset with the same remainder. Shared accesses reach no
+// cache, so nothing else in a contribution depends on the offset. The
+// contribution is built at the key itself, the smallest such offset.
+func addrKeyOf(l *placement.Layout, sp gpu.MemSpace, i int, bankBytes uint64) uint64 {
 	if sp == gpu.Shared {
-		return l.SharedOff[i]
+		return l.SharedOff[i] % bankBytes
 	}
 	return l.Base[i]
 }

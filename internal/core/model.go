@@ -227,16 +227,17 @@ func (p *Predictor) evalState(target *placement.Placement, prev *DeltaState, mov
 	layout := placement.Retarget(p.trace, p.sampleLayout, p.sample, target)
 	contribs := make([]*contribution, len(target.Spaces))
 	var hits, builds int64
+	bankBytes := uint64(p.model.Cfg.SharedBankBytes)
 	for i := range contribs {
 		sp := target.Spaces[i]
-		addr := addrKeyOf(layout, sp, i)
+		addr := addrKeyOf(layout, sp, i, bankBytes)
 		// Fast path: an array the move did not touch, whose binding the
 		// layout retargeting also left alone, keeps its contribution without
 		// even a cache lookup. Retargeting can shift untouched arrays — a
 		// neighbor crossing the on-chip/off-chip boundary moves shared
 		// offsets and heap ranges — and those fall through to the cache.
 		if prev != nil && i != moved && prev.place.Spaces[i] == sp &&
-			addrKeyOf(prev.layout, sp, i) == addr {
+			addrKeyOf(prev.layout, sp, i, bankBytes) == addr {
 			contribs[i] = prev.contribs[i]
 			continue
 		}

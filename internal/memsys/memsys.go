@@ -77,22 +77,36 @@ func NewBinding(cfg *gpu.Config, t *trace.Trace, sample *placement.Placement, sa
 // addresses: device addresses for off-chip spaces (with 2D-texture
 // swizzling applied) or block-local addresses for shared memory. The
 // returned slice is appended to buf to let callers reuse storage.
+//
+// Everything but the lane index — the space, element size, base address or
+// shared offset, and shared tile length — is resolved once per instruction,
+// leaving one tight loop over the lanes per space.
 func (b *Binding) Addresses(in *trace.Inst, buf []uint64) []uint64 {
-	sp := b.Place.Of(in.Array)
-	arr := b.Trace.Array(in.Array)
+	id := in.Array
+	arr := &b.Trace.Arrays[id]
+	elem := uint64(arr.Type.Bytes())
 	out := buf[:0]
-	for _, ix := range in.Index {
-		if ix == trace.Inactive {
-			continue
+	switch b.Place.Of(id).Base() {
+	case gpu.Shared:
+		off, tile := b.Layout.SharedOff[id], placement.SharedTileElems(b.Trace, id)
+		for _, ix := range in.Index {
+			if ix != trace.Inactive {
+				out = append(out, off+uint64(ix)%tile*elem)
+			}
 		}
-		switch sp.Base() {
-		case gpu.Shared:
-			out = append(out, b.Layout.SharedAddress(b.Trace, in.Array, ix))
-		case gpu.Texture2D:
-			sw := cache.Swizzle2D(ix, arr.Width, b.Tex2DShift)
-			out = append(out, b.Layout.Base[in.Array]+uint64(sw)*uint64(arr.Type.Bytes()))
-		default:
-			out = append(out, b.Layout.Address(b.Trace, in.Array, ix))
+	case gpu.Texture2D:
+		base, width, shift := b.Layout.Base[id], arr.Width, b.Tex2DShift
+		for _, ix := range in.Index {
+			if ix != trace.Inactive {
+				out = append(out, base+uint64(cache.Swizzle2D(ix, width, shift))*elem)
+			}
+		}
+	default:
+		base := b.Layout.Base[id]
+		for _, ix := range in.Index {
+			if ix != trace.Inactive {
+				out = append(out, base+uint64(ix)*elem)
+			}
 		}
 	}
 	return out
@@ -124,10 +138,10 @@ type Result struct {
 	DRAMLines []uint64
 }
 
-// Scratch holds the reusable per-caller buffers of AccessScratch: resolved
-// addresses, coalesced line sets, and the DRAM miss list. One Scratch serves
-// one caller's whole replay loop; the zero value is ready to use and the
-// buffers grow to the high-water mark of the trace.
+// Scratch holds the reusable per-caller buffers of ResolveScratch and
+// AccessScratch: resolved addresses, coalesced line sets, and the DRAM miss
+// list. One Scratch serves one caller's whole replay loop; the zero value is
+// ready to use and the buffers grow to the high-water mark of the trace.
 type Scratch struct {
 	addrs []uint64
 	lines []uint64
@@ -147,94 +161,28 @@ func (h *Hierarchy) Access(sm *SMCaches, b *Binding, in *trace.Inst, addrBuf []u
 
 // AccessScratch is Access with every intermediate buffer drawn from sc,
 // making the per-instruction replay loop allocation-free once the buffers
-// have grown. The returned Result's DRAMLines aliases sc's storage: consume
-// it before the next AccessScratch call on the same Scratch.
+// have grown: ResolveScratch, then ProbeLines on the resolved lines. The
+// returned Result's DRAMLines aliases sc's storage: consume it before the
+// next AccessScratch call on the same Scratch.
 func (h *Hierarchy) AccessScratch(sm *SMCaches, b *Binding, in *trace.Inst, sc *Scratch) Result {
-	sp := b.Place.Of(in.Array)
-	res := Result{Space: sp, Store: in.Op != trace.OpLoad}
-	addrs := b.Addresses(in, sc.addrs)
-	sc.addrs = addrs
-	if len(addrs) == 0 {
-		res.Transactions = 1
-		return res
+	r := h.ResolveScratch(b, in, sc)
+	pc, dram := h.ProbeLines(sm, r.Space, r.Lines, sc.dram[:0])
+	sc.dram = dram
+	res := Result{
+		Space:           r.Space,
+		Store:           in.Op != trace.OpLoad,
+		Transactions:    r.Transactions,
+		Replays:         r.Replays,
+		L2Accesses:      int(pc.L2Accesses),
+		L2Misses:        int(pc.L2Misses),
+		ConstAccesses:   int(pc.ConstAccesses),
+		ConstMiss:       int(pc.ConstMisses),
+		TexAccesses:     int(pc.TexAccesses),
+		TexMiss:         int(pc.TexMisses),
+		SharedConflicts: r.SharedConflicts,
+		DRAMLines:       dram,
 	}
-
-	// Atomics serialize over same-address lanes regardless of the memory
-	// space (§III-B replay cause (6)); the per-space effects below apply on
-	// top.
-	if in.Op == trace.OpAtomic {
-		res.Replays.Add(replay.AtomicConflict, replay.AtomicConflictReplays(addrs))
-	}
-
-	switch sp.Base() {
-	case gpu.Shared:
-		res.Transactions = 1
-		conflicts := replay.SharedConflictReplays(h.Sh, addrs)
-		res.SharedConflicts = int(conflicts)
-		res.Replays.Add(replay.SharedBankConflict, conflicts)
-
-	case gpu.Global:
-		lines := cache.LinesTouchedInto(sc.lines, addrs, h.Cfg.TransactionBytes)
-		sc.lines = lines
-		res.Transactions = len(lines)
-		res.Replays.Add(replay.GlobalDivergence, int64(len(lines)-1))
-		dram := sc.dram[:0]
-		for _, ln := range lines {
-			res.L2Accesses++
-			if !h.L2.Access(ln) {
-				res.L2Misses++
-				dram = append(dram, ln)
-			}
-		}
-		sc.dram = dram
-		res.DRAMLines = dram
-
-	case gpu.Constant:
-		// Constant memory serializes over distinct words; each distinct
-		// word beyond the first is a divergence replay (cause 3). Distinct
-		// constant-cache lines are then probed; each miss is one replay
-		// (cause 2) and one L2 access.
-		words := cache.LinesTouchedInto(sc.words, addrs, b.Trace.Array(in.Array).Type.Bytes())
-		sc.words = words
-		res.Replays.Add(replay.ConstantDivergence, int64(len(words)-1))
-		lines := cache.LinesTouchedInto(sc.lines, addrs, h.Cfg.Constant.LineBytes)
-		sc.lines = lines
-		res.Transactions = len(words)
-		dram := sc.dram[:0]
-		for _, ln := range lines {
-			res.ConstAccesses++
-			if !sm.Const.Access(ln) {
-				res.ConstMiss++
-				res.Replays.Add(replay.ConstantMiss, 1)
-				res.L2Accesses++
-				if !h.L2.Access(ln) {
-					res.L2Misses++
-					dram = append(dram, ln)
-				}
-			}
-		}
-		sc.dram = dram
-		res.DRAMLines = dram
-
-	case gpu.Texture1D, gpu.Texture2D:
-		lines := cache.LinesTouchedInto(sc.lines, addrs, h.Cfg.Texture.LineBytes)
-		sc.lines = lines
-		res.Transactions = len(lines)
-		dram := sc.dram[:0]
-		for _, ln := range lines {
-			res.TexAccesses++
-			if !sm.Tex.Access(ln) {
-				res.TexMiss++
-				res.L2Accesses++
-				if !h.L2.Access(ln) {
-					res.L2Misses++
-					dram = append(dram, ln)
-				}
-			}
-		}
-		sc.dram = dram
-		res.DRAMLines = dram
-	}
+	res.Replays.Add(replay.ConstantMiss, pc.ConstMisses)
 	return res
 }
 
@@ -248,7 +196,7 @@ func (h *Hierarchy) Reset() { h.L2.Reset() }
 // address binding) — no cache state is read or written — so it can be
 // computed once per binding and reused, with ProbeLines supplying the
 // cache-dependent half per evaluation. ResolveScratch followed by ProbeLines
-// on the same access reproduces AccessScratch exactly.
+// on the same access is AccessScratch.
 type Resolved struct {
 	Space gpu.MemSpace
 
@@ -275,6 +223,7 @@ type Resolved struct {
 // instruction: addresses, coalescing, and static replays, with the
 // first-level line stream left unprobed. It reads no cache state, so it is
 // safe to call concurrently on a shared Hierarchy (unlike AccessScratch).
+// Once sc's buffers have grown it allocates nothing.
 func (h *Hierarchy) ResolveScratch(b *Binding, in *trace.Inst, sc *Scratch) Resolved {
 	sp := b.Place.Of(in.Array)
 	res := Resolved{Space: sp}
@@ -285,6 +234,9 @@ func (h *Hierarchy) ResolveScratch(b *Binding, in *trace.Inst, sc *Scratch) Reso
 		return res
 	}
 
+	// Atomics serialize over same-address lanes regardless of the memory
+	// space (§III-B replay cause (6)); the per-space effects below apply on
+	// top.
 	if in.Op == trace.OpAtomic {
 		res.Replays.Add(replay.AtomicConflict, replay.AtomicConflictReplays(addrs))
 	}
@@ -304,6 +256,10 @@ func (h *Hierarchy) ResolveScratch(b *Binding, in *trace.Inst, sc *Scratch) Reso
 		res.Lines = lines
 
 	case gpu.Constant:
+		// Constant memory serializes over distinct words; each distinct
+		// word beyond the first is a divergence replay (cause 3). The
+		// distinct constant-cache lines are probed by ProbeLines, where
+		// each miss is one replay (cause 2) and one L2 access.
 		words := cache.LinesTouchedInto(sc.words, addrs, b.Trace.Array(in.Array).Type.Bytes())
 		sc.words = words
 		res.Replays.Add(replay.ConstantDivergence, int64(len(words)-1))
@@ -350,9 +306,11 @@ func CountAccess(ev *perf.Events, space gpu.MemSpace, replays *replay.Breakdown,
 // ProbeCounts are the cache-dependent outcomes of replaying one access's
 // first-level lines through the shared caches.
 type ProbeCounts struct {
+	ConstAccesses int64
 	// ConstMisses counts constant-cache misses; each one is also an
 	// instruction replay (§III-B cause (2)).
 	ConstMisses int64
+	TexAccesses int64
 	TexMisses   int64
 	L2Accesses  int64
 	L2Misses    int64
@@ -360,8 +318,8 @@ type ProbeCounts struct {
 
 // ProbeLines is the cache-dependent half of an access: it replays one
 // access's first-level lines (Resolved.Lines) through the shared caches in
-// line order, updating their state exactly as AccessScratch would, and
-// appends the lines that miss everything — the DRAM requests — to dram.
+// line order, updating their state, and appends the lines that miss
+// everything — the DRAM requests — to dram.
 // Shared-memory accesses have no lines and probe nothing. Because the caches
 // are shared, the outcome depends on every access probed before this one:
 // this is the cross-array cache interaction (one array evicting another's
@@ -378,6 +336,7 @@ func (h *Hierarchy) ProbeLines(sm *SMCaches, sp gpu.MemSpace, lines []uint64, dr
 			}
 		}
 	case gpu.Constant:
+		pc.ConstAccesses = int64(len(lines))
 		for _, ln := range lines {
 			if !sm.Const.Access(ln) {
 				pc.ConstMisses++
@@ -389,6 +348,7 @@ func (h *Hierarchy) ProbeLines(sm *SMCaches, sp gpu.MemSpace, lines []uint64, dr
 			}
 		}
 	case gpu.Texture1D, gpu.Texture2D:
+		pc.TexAccesses = int64(len(lines))
 		for _, ln := range lines {
 			if !sm.Tex.Access(ln) {
 				pc.TexMisses++

@@ -1,6 +1,8 @@
 package memsys
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"gpuhms/internal/gpu"
@@ -235,5 +237,90 @@ func TestHierarchyReset(t *testing.T) {
 	h.Reset()
 	if h.L2.Misses() != 0 || h.L2.Accesses() != 0 {
 		t.Error("reset must clear the L2")
+	}
+}
+
+// TestResolveScratchAllocsNothing pins the per-instruction resolver's
+// contract: once a Scratch's buffers have grown, resolving accesses in every
+// space — coalesced and divergent global, atomics, bank-conflicting shared,
+// constant and 2D texture — allocates nothing.
+func TestResolveScratchAllocsNothing(t *testing.T) {
+	cfg := gpu.KeplerK80()
+	b := trace.NewBuilder("k", trace.Launch{Blocks: 4, ThreadsPerBlock: 32, WarpSize: 32})
+	g := b.DeclareArray(trace.Array{Name: "g", Type: trace.F32, Len: 4096})
+	s := b.DeclareArray(trace.Array{Name: "s", Type: trace.F32, Len: 4096})
+	c := b.DeclareArray(trace.Array{Name: "c", Type: trace.F32, Len: 1024, ReadOnly: true})
+	tx := b.DeclareArray(trace.Array{Name: "tx", Type: trace.F32, Len: 4096, Width: 64, ReadOnly: true})
+	bins := make([]int64, 32)
+	for i := range bins {
+		bins[i] = int64(i % 3)
+	}
+	b.Warp(0, 0).
+		LoadCoalesced(g, 0, 32).
+		LoadStrided(g, 0, 33, 32).
+		Atomic(g, bins).
+		StoreStrided(s, 0, 8, 32).
+		LoadStrided(c, 0, 2, 32).
+		LoadStrided(tx, 0, 64, 32)
+	tr := b.MustBuild()
+	bd, err := bind(cfg, tr, "s:S,c:C,tx:2T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHierarchy(cfg)
+	var sc Scratch
+	insts := tr.Warps[0].Inst
+	resolveAll := func() {
+		for i := range insts {
+			h.ResolveScratch(bd, &insts[i], &sc)
+		}
+	}
+	resolveAll()
+	if n := testing.AllocsPerRun(100, resolveAll); n != 0 {
+		t.Errorf("ResolveScratch allocates %v times per pass on a warmed Scratch, want 0", n)
+	}
+}
+
+// TestAddressesMatchLayout checks the per-instruction lane loops of
+// Binding.Addresses against the per-element layout rules they hoist:
+// Layout.Address for global memory and Layout.SharedAddress, tile wrap
+// included, for shared memory, with inactive lanes skipped.
+func TestAddressesMatchLayout(t *testing.T) {
+	cfg := gpu.KeplerK80()
+	b := trace.NewBuilder("k", trace.Launch{Blocks: 4, ThreadsPerBlock: 32, WarpSize: 32})
+	g := b.DeclareArray(trace.Array{Name: "g", Type: trace.F64, Len: 4096})
+	s := b.DeclareArray(trace.Array{Name: "s", Type: trace.F32, Len: 4096})
+	r := rand.New(rand.NewSource(1))
+	w := b.Warp(0, 0)
+	idx := make([]int64, 32)
+	for k := 0; k < 16; k++ {
+		for l := range idx {
+			idx[l] = r.Int63n(4096)
+			if r.Intn(4) == 0 {
+				idx[l] = trace.Inactive
+			}
+		}
+		w.Load(g, idx).Store(s, idx)
+	}
+	tr := b.MustBuild()
+	bd, err := bind(cfg, tr, "s:S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tr.Warps[0].Inst {
+		in := &tr.Warps[0].Inst[i]
+		var want []uint64
+		for _, ix := range in.Index {
+			switch {
+			case ix == trace.Inactive:
+			case in.Array == s:
+				want = append(want, bd.Layout.SharedAddress(tr, s, ix))
+			default:
+				want = append(want, bd.Layout.Address(tr, g, ix))
+			}
+		}
+		if got := bd.Addresses(in, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("inst %d (%s): addresses %v, want %v", i, tr.Arrays[in.Array].Name, got, want)
+		}
 	}
 }

@@ -105,12 +105,12 @@ func (l *Layout) Address(t *trace.Trace, id trace.ArrayID, index int64) uint64 {
 // (the paper's conservative block-local index rewriting for arrays larger
 // than a block's share).
 func (l *Layout) SharedAddress(t *trace.Trace, id trace.ArrayID, index int64) uint64 {
-	a := t.Arrays[id]
-	foot := uint64(SharedFootprint(t, trace.ArrayID(id)))
-	elems := foot / uint64(a.Type.Bytes())
-	if elems == 0 {
-		elems = 1
-	}
-	local := uint64(index) % elems
-	return l.SharedOff[id] + local*uint64(a.Type.Bytes())
+	return l.SharedOff[id] + uint64(index)%SharedTileElems(t, id)*uint64(t.Arrays[id].Type.Bytes())
+}
+
+// SharedTileElems returns the element count of a shared array's per-block
+// tile (its SharedFootprint in elements, at least one): SharedAddress wraps
+// element indices modulo it.
+func SharedTileElems(t *trace.Trace, id trace.ArrayID) uint64 {
+	return max(uint64(SharedFootprint(t, id))/uint64(t.Arrays[id].Type.Bytes()), 1)
 }

@@ -16,6 +16,8 @@
 package replay
 
 import (
+	"slices"
+
 	"gpuhms/internal/cache"
 	"gpuhms/internal/sharedmem"
 )
@@ -52,20 +54,16 @@ func (r Reason) String() string {
 // AtomicConflictReplays returns the replays of one warp atomic: lanes whose
 // element addresses collide serialize, so the access issues once per
 // occurrence of the most-contended address — the maximum address
-// multiplicity minus one.
+// multiplicity minus one. The multiplicity is the longest run of the sorted
+// addresses, sorted in a stack buffer for warp-sized accesses.
 func AtomicConflictReplays(addrs []uint64) int64 {
 	if len(addrs) == 0 {
 		return 0
 	}
-	counts := make(map[uint64]int, len(addrs))
-	max := 0
-	for _, a := range addrs {
-		counts[a]++
-		if counts[a] > max {
-			max = counts[a]
-		}
-	}
-	return int64(max - 1)
+	var stack [sharedmem.StackLanes]uint64
+	sorted := append(stack[:0], addrs...)
+	slices.Sort(sorted)
+	return int64(sharedmem.LongestRun(sorted) - 1)
 }
 
 // Breakdown tallies replays by cause. It is the inst_replay_{1-4} quantity

@@ -5,7 +5,11 @@
 // T_overlap event model.
 package sharedmem
 
-import "gpuhms/internal/gpu"
+import (
+	"slices"
+
+	"gpuhms/internal/gpu"
+)
 
 // Config describes the shared memory organization.
 type Config struct {
@@ -18,6 +22,11 @@ func FromGPU(c *gpu.Config) Config {
 	return Config{Banks: c.SharedBanks, BankBytes: c.SharedBankBytes}
 }
 
+// StackLanes is the widest warp whose per-lane words the conflict models
+// sort in a stack buffer; wider warps (traces allow up to 1024 lanes) grow
+// into a heap buffer.
+const StackLanes = 64
+
 // ConflictDegree returns the serialization degree of one warp access: the
 // maximum, over banks, of the number of *distinct* words the warp's active
 // lanes address in that bank. Lanes reading the same word broadcast and do
@@ -26,57 +35,49 @@ func FromGPU(c *gpu.Config) Config {
 //
 // addrs holds block-local shared-memory byte addresses; active[i] reports
 // whether lane i participates. active may be nil (all lanes active).
+//
+// The active words are sorted and deduplicated, mapped to their banks, and
+// sorted again; the degree is the longest run of one bank. Nothing is
+// allocated for warps of up to StackLanes lanes.
 func (c Config) ConflictDegree(addrs []uint64, active []bool) int {
-	// words[bank] collects the distinct word addresses seen per bank.
-	// Warp sizes are small; small slices beat maps here.
-	type bankWords struct {
-		words [4]uint64
-		n     int
-		over  map[uint64]struct{}
-	}
-	banks := make([]bankWords, c.Banks)
-	degree := 0
+	var stack [StackLanes]uint64
+	words := stack[:0]
+	bankBytes := uint64(c.BankBytes)
 	for i, a := range addrs {
-		if active != nil && !active[i] {
-			continue
-		}
-		word := a / uint64(c.BankBytes)
-		bank := int(word % uint64(c.Banks))
-		bw := &banks[bank]
-		dup := false
-		for j := 0; j < bw.n && j < len(bw.words); j++ {
-			if bw.words[j] == word {
-				dup = true
-				break
-			}
-		}
-		if !dup && bw.over != nil {
-			_, dup = bw.over[word]
-		}
-		if dup {
-			continue
-		}
-		if bw.n < len(bw.words) {
-			bw.words[bw.n] = word
-		} else {
-			if bw.over == nil {
-				bw.over = make(map[uint64]struct{})
-			}
-			bw.over[word] = struct{}{}
-		}
-		bw.n++
-		if bw.n > degree {
-			degree = bw.n
+		if active == nil || active[i] {
+			words = append(words, a/bankBytes)
 		}
 	}
-	if degree == 0 {
+	if len(words) == 0 {
 		return 1 // an access with no active lanes still issues once
 	}
-	return degree
+	slices.Sort(words)
+	words = slices.Compact(words)
+	banks := uint64(c.Banks)
+	for i, w := range words {
+		words[i] = w % banks
+	}
+	slices.Sort(words)
+	return LongestRun(words)
 }
 
 // Conflicts returns the number of bank-conflict replays of one warp access:
 // ConflictDegree − 1.
 func (c Config) Conflicts(addrs []uint64, active []bool) int {
 	return c.ConflictDegree(addrs, active) - 1
+}
+
+// LongestRun returns the length of the longest run of equal values in a
+// sorted slice (0 for an empty one).
+func LongestRun(sorted []uint64) int {
+	best, run := 0, 0
+	for i, v := range sorted {
+		if i > 0 && v == sorted[i-1] {
+			run++
+		} else {
+			run = 1
+		}
+		best = max(best, run)
+	}
+	return best
 }

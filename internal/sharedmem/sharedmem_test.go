@@ -154,3 +154,111 @@ func TestManyDistinctWordsPerBankOverflowPath(t *testing.T) {
 		t.Errorf("degree with dups = %d, want 8", d)
 	}
 }
+
+// referenceConflictDegree is the original per-bank table model: a small
+// array of distinct words per bank, overflowing into a map. ConflictDegree
+// must agree with it on every access.
+func referenceConflictDegree(c Config, addrs []uint64, active []bool) int {
+	type bankWords struct {
+		words [4]uint64
+		n     int
+		over  map[uint64]struct{}
+	}
+	banks := make([]bankWords, c.Banks)
+	degree := 0
+	for i, a := range addrs {
+		if active != nil && !active[i] {
+			continue
+		}
+		word := a / uint64(c.BankBytes)
+		bank := int(word % uint64(c.Banks))
+		bw := &banks[bank]
+		dup := false
+		for j := 0; j < bw.n && j < len(bw.words); j++ {
+			if bw.words[j] == word {
+				dup = true
+				break
+			}
+		}
+		if !dup && bw.over != nil {
+			_, dup = bw.over[word]
+		}
+		if dup {
+			continue
+		}
+		if bw.n < len(bw.words) {
+			bw.words[bw.n] = word
+		} else {
+			if bw.over == nil {
+				bw.over = make(map[uint64]struct{})
+			}
+			bw.over[word] = struct{}{}
+		}
+		bw.n++
+		if bw.n > degree {
+			degree = bw.n
+		}
+	}
+	if degree == 0 {
+		return 1
+	}
+	return degree
+}
+
+// TestConflictDegreeDifferential checks ConflictDegree against the table
+// reference over random bank counts, bank widths, lane counts up to 64,
+// active masks (nil included), and address ranges narrow enough to force
+// both broadcasts and many-word conflicts.
+func TestConflictDegreeDifferential(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		c := Config{Banks: 1 + r.Intn(64), BankBytes: []int{1, 2, 4, 8, 16}[r.Intn(5)]}
+		n := r.Intn(65)
+		span := 1 + r.Intn(1<<uint(1+r.Intn(16)))
+		a := make([]uint64, n)
+		for i := range a {
+			a[i] = uint64(r.Intn(span))
+		}
+		var active []bool
+		if r.Intn(3) > 0 {
+			active = make([]bool, n)
+			for i := range active {
+				active[i] = r.Intn(4) > 0
+			}
+		}
+		got, want := c.ConflictDegree(a, active), referenceConflictDegree(c, a, active)
+		if got != want {
+			t.Logf("cfg %+v addrs %v active %v: got %d, want %d", c, a, active, got, want)
+		}
+		return got == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestConflictDegreeWideWarp covers warps wider than the stack buffer.
+func TestConflictDegreeWideWarp(t *testing.T) {
+	c := kepler()
+	a := addrs(4, 1024) // 1024 unit-stride lanes: 32 distinct words per bank
+	if got, want := c.ConflictDegree(a, nil), referenceConflictDegree(c, a, nil); got != want || got != 32 {
+		t.Errorf("1024-lane degree = %d, reference %d, want 32", got, want)
+	}
+}
+
+// TestConflictDegreeAllocsNothing pins the allocation-free contract for
+// warp-sized accesses.
+func TestConflictDegreeAllocsNothing(t *testing.T) {
+	c := kepler()
+	a := addrs(2*4, 32)
+	active := make([]bool, 32)
+	for i := range active {
+		active[i] = i%3 != 0
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		c.ConflictDegree(a, nil)
+		c.ConflictDegree(a, active)
+	}); n != 0 {
+		t.Errorf("ConflictDegree allocates %v times per call pair, want 0", n)
+	}
+}

@@ -19,7 +19,6 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
@@ -125,30 +124,66 @@ type warpState struct {
 	started float64 // cycle of the first issue (recorded warp spans)
 }
 
-// warpHeap orders active warps by their ready time (ties by index for
-// determinism). Warp states are stored by value in one pooled array — a
-// pointer per warp used to be a measurable share of a run's allocations.
+// warpHeap is a binary min-heap of active warp indices ordered by ready time
+// (ties by index, so the pop order is a strict total order and runs are
+// deterministic). Warp states are stored by value in one pooled array — a
+// pointer per warp used to be a measurable share of a run's allocations —
+// and the heap is typed, so pushing a warp never boxes its index.
 type warpHeap struct {
 	warps []warpState
 	order []int
 }
 
-func (h *warpHeap) Len() int { return len(h.order) }
-func (h *warpHeap) Less(i, j int) bool {
+func (h *warpHeap) less(i, j int) bool {
 	wi, wj := &h.warps[h.order[i]], &h.warps[h.order[j]]
 	if wi.ready != wj.ready {
 		return wi.ready < wj.ready
 	}
 	return h.order[i] < h.order[j]
 }
-func (h *warpHeap) Swap(i, j int) { h.order[i], h.order[j] = h.order[j], h.order[i] }
-func (h *warpHeap) Push(x any)    { h.order = append(h.order, x.(int)) }
-func (h *warpHeap) Pop() any {
-	old := h.order
-	n := len(old)
-	x := old[n-1]
-	h.order = old[:n-1]
-	return x
+
+func (h *warpHeap) push(wi int) {
+	h.order = append(h.order, wi)
+	h.up(len(h.order) - 1)
+}
+
+// pop removes and returns the warp that is ready first.
+func (h *warpHeap) pop() int {
+	n := len(h.order) - 1
+	h.order[0], h.order[n] = h.order[n], h.order[0]
+	wi := h.order[n]
+	h.order = h.order[:n]
+	h.down(0)
+	return wi
+}
+
+func (h *warpHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			return
+		}
+		h.order[i], h.order[j] = h.order[j], h.order[i]
+		j = i
+	}
+}
+
+func (h *warpHeap) down(i int) {
+	n := len(h.order)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			return
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			return
+		}
+		h.order[i], h.order[j] = h.order[j], h.order[i]
+		i = j
+	}
 }
 
 // Measurer measures a (trace, placement) pair — the "hardware" of the
@@ -207,12 +242,11 @@ func (s *Simulator) RunContext(ctx context.Context, t *trace.Trace, sample, targ
 		warps[i].tr = &t.Warps[i]
 		if smResident[sm] < s.Cfg.MaxWarpsPerSM {
 			smResident[sm]++
-			h.order = append(h.order, i)
+			h.push(i)
 		} else {
 			smQueue[sm] = append(smQueue[sm], i)
 		}
 	}
-	heap.Init(h)
 	// heap operations re-slice h.order; hand the (possibly grown) buffer
 	// back to the scratch so the pool keeps its capacity.
 	defer func() { sc.order = h.order }()
@@ -243,14 +277,14 @@ func (s *Simulator) RunContext(ctx context.Context, t *trace.Trace, sample, targ
 	var memWaitCycles float64
 
 	var steps int
-	for h.Len() > 0 {
+	for len(h.order) > 0 {
 		steps++
 		if steps%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		wi := heap.Pop(h).(int)
+		wi := h.pop()
 		w := &warps[wi]
 		if w.pc >= len(w.tr.Inst) {
 			// Retire; admit a queued warp on this SM (smQHead is a cursor so
@@ -267,7 +301,7 @@ func (s *Simulator) RunContext(ctx context.Context, t *trace.Trace, sample, targ
 				next := q[smQHead[w.sm]]
 				smQHead[w.sm]++
 				warps[next].ready = w.ready
-				heap.Push(h, next)
+				h.push(next)
 			}
 			continue
 		}
@@ -418,7 +452,7 @@ func (s *Simulator) RunContext(ctx context.Context, t *trace.Trace, sample, targ
 				}
 			}
 		}
-		heap.Push(h, wi)
+		h.push(wi)
 	}
 
 	// Shared staging preamble: each block copies its tile from global

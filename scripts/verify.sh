@@ -3,7 +3,8 @@
 # installed), build, the full test suite under the race detector, the
 # shard-enumerator fuzz seeds under race, a one-pass parallel-ranking
 # benchmark smoke, a short smoke of the observability no-op-overhead
-# contract (the disabled recorder must add zero allocations), a fixed-seed
+# contract (the disabled recorder must add zero allocations), the resolver's
+# allocation bounds outside the race detector, a fixed-seed
 # open-loop load smoke (zero 5xx, every response carries its request ID), a
 # short chaos soak (scripts/soak.sh runs the long one), and an end-to-end
 # service smoke covering warm boot, crash/restart recovery,
@@ -79,6 +80,16 @@ rm -f /tmp/BENCH_fleet.verify.json
 echo "== obs no-op overhead smoke"
 go test ./internal/sim/ -run 'TestRunContextNopRecorderAddsNoAllocs' -count=1
 go test ./internal/sim/ -run '^$' -bench 'BenchmarkRunContextRecorder' -benchtime 3x -benchmem -count=1
+
+echo "== allocation bounds (outside -race)"
+# The per-instruction address resolver is allocation-free: a profiling run
+# of every bundled kernel's sample stays within a constant allocation count
+# whatever the trace length, and the shared-memory conflict model and
+# ResolveScratch on a warmed Scratch allocate nothing (docs/PERFORMANCE.md).
+# The race detector instruments allocations, so the simulator bound is
+# built without it and only runs here.
+go test ./internal/sim/ ./internal/sharedmem/ ./internal/memsys/ \
+    -run 'TestProfileRunAllocsBounded|AllocsNothing' -count=1
 
 echo "== load harness smoke"
 # A short fixed-seed open-loop run against the in-process server. -assert
